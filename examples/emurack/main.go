@@ -9,7 +9,7 @@
 // same fault windows on the wall clock (loss and jitter at the relay,
 // the crash by muting the server's socket). Both backends lose some
 // completions to the chaos and neither collapses — the parity the
-// capability matrix in DESIGN.md §12 pins.
+// capability matrix in DESIGN.md §11 pins.
 //
 // Only socket-expressible faults run here: a kind the emu backend
 // cannot express on real sockets (a service-time slowdown, a switch

@@ -298,7 +298,7 @@ func registerChaosTwoRack() {
 	register(&Experiment{
 		ID:    "chaos-2rack",
 		Title: "Two-rack chaos: completed fraction under crash + loss",
-		Paper: "extension (emu fault parity, DESIGN.md §12)",
+		Paper: "extension (emu fault parity, DESIGN.md §11)",
 		Run: func(opts Options) (Report, error) {
 			opts = opts.withDefaults()
 			// Deliberately no requireSim: the definition uses only

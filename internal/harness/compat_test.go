@@ -43,10 +43,9 @@ import (
 // model keeps the infinite-buffer event sequence bit for bit.
 // The parallel-in-time PR appended scale-racks-xl's rows the same way:
 // the previous pin was again verified to be a byte-for-byte prefix,
-// proving that the sharded-core plumbing (cross-shard send sites,
-// ancestry stamps, the Options.Shards knob) changed no pre-existing
-// row — golden runs keep the default Shards=0 sequential engine, and
-// TestShardedDeterminism separately pins Shards=8 byte-identical.
+// proving that its plumbing changed no pre-existing row — golden runs
+// kept the sequential engine. Deleting that core later left the file
+// byte-identical: the sequential engine is all that ever produced it.
 // The batched-syscall emu PR appended chaos-2rack's rows the same way:
 // the previous pin was again verified to be a byte-for-byte prefix,
 // proving that lifting the emu backend's multi-rack and fault walls

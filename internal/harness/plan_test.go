@@ -25,6 +25,43 @@ func renderBytes(t *testing.T, r Report) []byte {
 	return buf.Bytes()
 }
 
+// determinismOpts is the sweep both determinism tests run every
+// experiment at.
+var determinismOpts = Options{
+	DurationNS: 4e6,
+	WarmupNS:   1e6,
+	Seed:       5,
+	LoadFracs:  []float64{0.3, 0.8},
+	Repeats:    2,
+}
+
+var (
+	seqReportsMu sync.Mutex
+	seqReports   = map[string][]byte{}
+)
+
+// sequentialReport returns experiment e's rendered report at
+// determinismOpts with Parallelism 1 and no tracing: the reference both
+// determinism sweeps compare against. It is computed once per
+// experiment and shared, so the reference leg is not paid twice.
+func sequentialReport(t *testing.T, e *Experiment) []byte {
+	t.Helper()
+	seqReportsMu.Lock()
+	defer seqReportsMu.Unlock()
+	if b, ok := seqReports[e.ID]; ok {
+		return b
+	}
+	opts := determinismOpts
+	opts.Parallelism = 1
+	r, err := e.Run(opts)
+	if err != nil {
+		t.Fatalf("sequential run failed: %v", err)
+	}
+	b := renderBytes(t, r)
+	seqReports[e.ID] = b
+	return b
+}
+
 // TestParallelDeterminism asserts the tentpole guarantee: every
 // experiment's Report is byte-identical between sequential
 // (Parallelism: 1) and parallel (Parallelism: 8) execution at the same
@@ -33,70 +70,42 @@ func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full determinism sweep skipped in -short mode")
 	}
-	base := Options{
-		DurationNS: 4e6,
-		WarmupNS:   1e6,
-		Seed:       5,
-		LoadFracs:  []float64{0.3, 0.8},
-		Repeats:    2,
-	}
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
-			seqOpts := base
-			seqOpts.Parallelism = 1
-			seq, err := e.Run(seqOpts)
-			if err != nil {
-				t.Fatalf("sequential run failed: %v", err)
-			}
-			parOpts := base
+			seq := sequentialReport(t, e)
+			parOpts := determinismOpts
 			parOpts.Parallelism = 8
 			par, err := e.Run(parOpts)
 			if err != nil {
 				t.Fatalf("parallel run failed: %v", err)
 			}
-			if !bytes.Equal(renderBytes(t, seq), renderBytes(t, par)) {
+			if !bytes.Equal(seq, renderBytes(t, par)) {
 				t.Errorf("%s report differs between Parallelism 1 and 8", e.ID)
 			}
 		})
 	}
 }
 
-// TestShardedDeterminism asserts the parallel-in-time counterpart of
-// TestParallelDeterminism: every experiment's Report is byte-identical
-// between the sequential engine (Shards: 0) and sharded execution
-// (Shards: 8) at the same seed. Multi-rack experiments actually shard;
-// the rest exercise the automatic sequential fallback, so the sweep
-// also pins that the fallback envelope never changes a row. The sharded
-// leg additionally arms the flight recorder, pinning the tentpole's
-// other invariance at the same time: tracing on + sharding on must
-// still reproduce the untraced sequential report byte for byte, while
+// TestTracedDeterminism asserts the flight recorder's invariance over
+// every experiment: a parallel run with tracing armed (TraceRate 16)
+// must reproduce the untraced sequential report byte for byte, while
 // the trace payload flows out through Observe instead of the report.
 // table1/table2 are static reports — no scenario runs, so nothing to
 // observe or trace.
-func TestShardedDeterminism(t *testing.T) {
+func TestTracedDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full determinism sweep skipped in -short mode")
 	}
-	base := Options{
-		DurationNS: 4e6,
-		WarmupNS:   1e6,
-		Seed:       5,
-		LoadFracs:  []float64{0.3, 0.8},
-		Repeats:    2,
-	}
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
-			seq, err := e.Run(base)
-			if err != nil {
-				t.Fatalf("sequential run failed: %v", err)
-			}
+			seq := sequentialReport(t, e)
 			var mu sync.Mutex
 			var observed, traced int
-			shOpts := base
-			shOpts.Shards = 8
-			shOpts.TraceRate = 16
-			shOpts.TraceCap = 1 << 12
-			shOpts.Observe = func(label string, res scenario.Result) {
+			opts := determinismOpts
+			opts.Parallelism = 8
+			opts.TraceRate = 16
+			opts.TraceCap = 1 << 12
+			opts.Observe = func(label string, res scenario.Result) {
 				mu.Lock()
 				defer mu.Unlock()
 				observed++
@@ -104,12 +113,12 @@ func TestShardedDeterminism(t *testing.T) {
 					traced++
 				}
 			}
-			sh, err := e.Run(shOpts)
+			tr, err := e.Run(opts)
 			if err != nil {
-				t.Fatalf("sharded traced run failed: %v", err)
+				t.Fatalf("traced run failed: %v", err)
 			}
-			if !bytes.Equal(renderBytes(t, seq), renderBytes(t, sh)) {
-				t.Errorf("%s report differs between {Shards 0, untraced} and {Shards 8, traced}", e.ID)
+			if !bytes.Equal(seq, renderBytes(t, tr)) {
+				t.Errorf("%s report differs between {Parallelism 1, untraced} and {Parallelism 8, traced}", e.ID)
 			}
 			if e.ID == "table1" || e.ID == "table2" {
 				if observed != 0 {
@@ -130,8 +139,8 @@ func TestShardedDeterminism(t *testing.T) {
 // TestRunSpecsObserveAndTrace pins the harness observability plumbing
 // on two bare specs: Options.TraceRate arms WithTrace on every point,
 // Observe receives each point's label and full result — trace payload
-// and ShardInfo included — and the spec's own scenario object stays
-// untouched (With must copy).
+// included — and the spec's own scenario object stays untouched (With
+// must copy).
 func TestRunSpecsObserveAndTrace(t *testing.T) {
 	base := fabricScenario(
 		topology.Rack{Servers: []int{4, 4}},
@@ -150,7 +159,6 @@ func TestRunSpecsObserveAndTrace(t *testing.T) {
 	got := map[string]scenario.Result{}
 	opts := Options{
 		Parallelism: 2,
-		Shards:      2,
 		TraceRate:   4,
 		Observe: func(label string, res scenario.Result) {
 			mu.Lock()
@@ -172,14 +180,8 @@ func TestRunSpecsObserveAndTrace(t *testing.T) {
 		if res.Telemetry == nil {
 			t.Errorf("%s: no telemetry despite TraceRate", label)
 		}
-		if res.ShardInfo.Requested != 2 {
-			t.Errorf("%s: ShardInfo.Requested = %d, want the Options.Shards request", label, res.ShardInfo.Requested)
-		}
-		if res.ShardInfo.Effective == 1 && res.ShardInfo.Fallback == "" {
-			t.Errorf("%s: silent sequential fallback with no reason", label)
-		}
 	}
-	if cfg := base.Config(); cfg.TraceRate != 0 || cfg.Shards != 0 {
+	if cfg := base.Config(); cfg.TraceRate != 0 {
 		t.Error("runSpecs mutated the spec's scenario")
 	}
 }

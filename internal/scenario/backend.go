@@ -26,12 +26,6 @@ type Result struct {
 	// server response traverses the ToR exactly once).
 	ServerProcessed int64
 
-	// ShardInfo reports how a WithShards request was resolved: the
-	// effective shard count, the reason behind a silent sequential
-	// fallback, and the per-shard engine-event split. Zero-valued on
-	// the Emu backend (no shard concept there).
-	ShardInfo simcluster.ShardInfo
-
 	// SendErrors counts failed socket transmissions across the emu
 	// cluster's components (switch, servers, rack relays, clients).
 	// Always 0 on Sim, whose links cannot fail to transmit; a non-zero
@@ -67,7 +61,7 @@ func (simBackend) Run(sc *Scenario) (Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
 	}
-	res, info, err := simcluster.RunInfo(sc.Config())
+	res, err := simcluster.Run(sc.Config())
 	if err != nil {
 		return Result{}, err
 	}
@@ -75,6 +69,5 @@ func (simBackend) Run(sc *Scenario) (Result, error) {
 		Result:          res,
 		Backend:         "sim",
 		ServerProcessed: res.Switch.Responses,
-		ShardInfo:       info,
 	}, nil
 }

@@ -42,7 +42,7 @@ func EmuStoreObjects(n int) EmuOption {
 	return func(b *emuBackend) { b.storeObjects = n }
 }
 
-// EmuIO pins the cluster's syscall discipline (DESIGN.md §12). The
+// EmuIO pins the cluster's syscall discipline (DESIGN.md §11). The
 // default udpemu.IOAuto batches with recvmmsg/sendmmsg where the
 // platform supports it and falls back to per-packet I/O elsewhere;
 // udpemu.IOPortable forces the per-packet reference path, e.g. for an

@@ -313,23 +313,12 @@ func WithLinkRate(gbps float64) Option {
 	return func(s *Scenario) { s.cfg.Congestion = s.cfg.Congestion.WithLinkRate(gbps) }
 }
 
-// WithShards requests parallel-in-time execution: the simulated cluster
-// is partitioned by rack across n event engines advancing under
-// conservative time windows. 0 or 1 — the default — runs the sequential
-// engine. The count is clamped to the rack count, and configurations
-// that need one global event order (congestion, loss or jitter,
-// breakdown sampling, LÆDGE, fewer than two racks) silently fall back
-// to sequential; the result is the same either way. Sim only.
-func WithShards(n int) Option {
-	return func(s *Scenario) { s.cfg.Shards = n }
-}
-
 // WithTrace enables the flight recorder: every rate-th request per
 // client (rate 1 traces everything) has its full lifecycle — issue,
 // dispatch, clone fan-out, port enqueue/mark/drop, service, filter
-// decision, completion — recorded into Result.Trace, and engine/shard
+// decision, completion — recorded into Result.Trace, and engine
 // telemetry is snapshotted into Result.Telemetry. ringCap bounds the
-// per-shard record ring (0 means the trace.DefaultCap, 64Ki records);
+// record ring (0 means the trace.DefaultCap, 64Ki records);
 // on overflow the oldest records are overwritten and counted. Sampling
 // is a pure function of the client sequence number, so the simulated
 // event order is bit-identical with tracing on or off. Export with
@@ -426,9 +415,6 @@ func (s *Scenario) Validate() error {
 	}
 	if cfg.SampleEvery < 0 {
 		return fmt.Errorf("scenario: breakdown sampling every %d requests, need >= 0 (WithBreakdownSampling)", cfg.SampleEvery)
-	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("scenario: %d shards, need >= 0 (WithShards; 0 means sequential)", cfg.Shards)
 	}
 	if cfg.TraceRate < 0 {
 		return fmt.Errorf("scenario: trace rate %d, need >= 0 (WithTrace; 0 disables, 1 traces every request)", cfg.TraceRate)

@@ -57,17 +57,8 @@ func TestRecorderTraced(t *testing.T) {
 	}
 	// Rate floors at 1: everything sampled.
 	r = NewRecorder(0, 8)
-	if r.Rate() != 1 || !r.Traced(7) {
-		t.Errorf("rate-0 recorder: Rate = %d, Traced(7) = %v, want every request sampled", r.Rate(), r.Traced(7))
-	}
-}
-
-func TestRecorderShardStamp(t *testing.T) {
-	r := NewRecorder(1, 8)
-	r.SetShard(3)
-	r.Record(Event{At: 1})
-	if got := r.Snapshot().Events[0].Shard; got != 3 {
-		t.Errorf("Shard = %d, want the SetShard stamp", got)
+	if r.rate != 1 || !r.Traced(7) {
+		t.Errorf("rate-0 recorder: rate = %d, Traced(7) = %v, want every request sampled", r.rate, r.Traced(7))
 	}
 }
 
@@ -78,9 +69,9 @@ func TestRecorderDefaultCap(t *testing.T) {
 	}
 }
 
-// synthetic builds one cloned request's lifecycle on two racks of shard
-// 0: issue, dispatch+clone fan-out, an ECN mark on the clone's path,
-// both services, the filter race, and completion.
+// synthetic builds one cloned request's lifecycle on two racks: issue,
+// dispatch+clone fan-out, an ECN mark on the clone's path, both
+// services, the filter race, and completion.
 func synthetic() *Data {
 	ev := func(at int64, k Kind, value, port int32, rack uint16, flags uint8) Event {
 		return Event{At: at, Seq: 8, Value: value, Port: port, Client: 2, Rack: rack, Kind: k, Flags: flags}
@@ -191,13 +182,13 @@ func TestWriteCSV(t *testing.T) {
 	if len(lines) != 13 {
 		t.Fatalf("%d lines, want header + 12 rows", len(lines))
 	}
-	if lines[0] != "at_ns,kind,client,seq,rack,shard,flags,value,port" {
+	if lines[0] != "at_ns,kind,client,seq,rack,flags,value,port" {
 		t.Errorf("header %q", lines[0])
 	}
-	if want := "130,mark,2,8,1,0,clone|ecn,6,3"; lines[5] != want {
+	if want := "130,mark,2,8,1,clone|ecn,6,3"; lines[5] != want {
 		t.Errorf("mark row %q, want %q", lines[5], want)
 	}
-	if want := "100,issue,2,8,0,0,,-1,-1"; lines[1] != want {
+	if want := "100,issue,2,8,0,,-1,-1"; lines[1] != want {
 		t.Errorf("issue row %q, want %q", lines[1], want)
 	}
 }

@@ -67,8 +67,12 @@ func TestBatchedMatchesPortableCounters(t *testing.T) {
 		if counters.Processed < agg.Completed {
 			t.Errorf("%v: processed %d < completed %d", mode, counters.Processed, agg.Completed)
 		}
-		if counters.Redundant != 0 {
-			t.Errorf("%v: %d redundant responses with filtering on", mode, counters.Redundant)
+		// The filter may overwrite a fingerprint before its slower
+		// response arrives and then let that duplicate through (§3.5):
+		// every redundant response needs its own earlier overwrite.
+		if counters.Redundant > counters.Switch.FilterOverwrites {
+			t.Errorf("%v: %d redundant responses but only %d filter overwrites",
+				mode, counters.Redundant, counters.Switch.FilterOverwrites)
 		}
 		if counters.SendErrors != 0 {
 			t.Errorf("%v: %d send errors on healthy loopback", mode, counters.SendErrors)

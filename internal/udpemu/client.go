@@ -25,7 +25,7 @@ type ClientConfig struct {
 	// Seed drives group and IDX randomization.
 	Seed uint64
 	// IO selects the syscall discipline (default IOAuto; DESIGN.md
-	// §12).
+	// §11).
 	IO IOMode
 }
 

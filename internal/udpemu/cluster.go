@@ -51,7 +51,7 @@ type ClusterConfig struct {
 	// Seed derives per-client randomization seeds.
 	Seed uint64
 	// IO selects the syscall discipline for every component (default
-	// IOAuto; DESIGN.md §12).
+	// IOAuto; DESIGN.md §11).
 	IO IOMode
 	// Faults schedules the socket-expressible fault kinds — loss
 	// windows, link jitter, server crash/recover — relative to the

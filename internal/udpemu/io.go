@@ -8,7 +8,7 @@ import (
 
 // IOMode selects how the emulator components move packets through the
 // kernel: one syscall per packet (the portable reference path) or
-// recvmmsg/sendmmsg bursts through preallocated rings (DESIGN.md §12).
+// recvmmsg/sendmmsg bursts through preallocated rings (DESIGN.md §11).
 type IOMode uint8
 
 const (

@@ -27,7 +27,7 @@ type ServerConfig struct {
 	// emulate heavier application work in examples.
 	ExtraServiceTime time.Duration
 	// IO selects the syscall discipline (default IOAuto; DESIGN.md
-	// §12).
+	// §11).
 	IO IOMode
 }
 

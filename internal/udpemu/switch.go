@@ -9,7 +9,7 @@
 // far larger than the microsecond effects the paper measures, so all
 // latency figures come from the simulator (see DESIGN.md §1).
 //
-// I/O runs in one of two modes (DESIGN.md §12): the portable per-packet
+// I/O runs in one of two modes (DESIGN.md §11): the portable per-packet
 // net.UDPConn path, and — on Linux amd64/arm64 — a batched path that
 // drains and flushes bursts of up to 32 packets per recvmmsg/sendmmsg
 // syscall through preallocated rings, allocation-free in steady state.
@@ -175,7 +175,7 @@ func (s *Switch) Stats() dataplane.Stats {
 	return s.dp.Stats()
 }
 
-// SendErrors counts failed transmissions (satellite of DESIGN.md §12:
+// SendErrors counts failed transmissions (satellite of DESIGN.md §11:
 // previously discarded silently).
 func (s *Switch) SendErrors() int64 {
 	n := s.sendErrs.Load()
