@@ -21,6 +21,7 @@ package netclone_test
 
 import (
 	"testing"
+	"time"
 
 	"netclone"
 	"netclone/internal/dataplane"
@@ -202,21 +203,21 @@ func BenchmarkSwitchCloneAndRecirculate(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatedSecond measures simulator throughput: how much wall
-// time one simulated NetClone run costs per simulated millisecond.
+// BenchmarkSimulatedMillisecond measures simulator throughput: how much
+// wall time one simulated NetClone run costs per simulated millisecond,
+// through the Sim backend every caller uses.
 func BenchmarkSimulatedMillisecond(b *testing.B) {
-	cfg := netclone.Config{
-		Scheme:     netclone.NetClone,
-		Workers:    []int{16, 16, 16, 16, 16, 16},
-		Service:    netclone.WithJitter(netclone.Exp(25), 0.01),
-		OfferedRPS: 1e6,
-		WarmupNS:   0,
-		DurationNS: 1e6, // one simulated millisecond
-	}
+	base := netclone.NewScenario(
+		netclone.WithScheme(netclone.NetClone),
+		netclone.WithServers(6, 16),
+		netclone.WithWorkload(netclone.WithJitter(netclone.Exp(25), 0.01)),
+		netclone.WithOfferedLoad(1e6),
+		netclone.WithWindow(0, time.Millisecond), // one simulated millisecond
+	)
+	sim := netclone.Sim()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		if _, err := netclone.Run(cfg); err != nil {
+		if _, err := sim.Run(base.With(netclone.WithSeed(uint64(i + 1)))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -194,20 +194,19 @@ func meterExperiment(id string, opts netclone.Options, mb *meteredBackend) (netc
 // as BenchmarkSimulatedMillisecond, run sequentially for at least
 // minWall, reporting events/sec, ns per run, and allocations per run.
 func meterHotPath(minWall time.Duration) (*benchHotPath, error) {
-	cfg := netclone.Config{
-		Scheme:     netclone.NetClone,
-		Workers:    []int{16, 16, 16, 16, 16, 16},
-		Service:    netclone.WithJitter(netclone.Exp(25), 0.01),
-		OfferedRPS: 1e6,
-		WarmupNS:   0,
-		DurationNS: 1e6, // one simulated millisecond
-	}
+	base := netclone.NewScenario(
+		netclone.WithScheme(netclone.NetClone),
+		netclone.WithServers(6, 16),
+		netclone.WithWorkload(netclone.WithJitter(netclone.Exp(25), 0.01)),
+		netclone.WithOfferedLoad(1e6),
+		netclone.WithWindow(0, time.Millisecond), // one simulated millisecond
+	)
+	sim := netclone.Sim()
 	var runs, events int64
 	allocs0 := mallocs()
 	start := time.Now()
 	for time.Since(start) < minWall || runs < 3 {
-		cfg.Seed = uint64(runs + 1)
-		res, err := netclone.Run(cfg)
+		res, err := sim.Run(base.With(netclone.WithSeed(uint64(runs + 1))))
 		if err != nil {
 			return nil, err
 		}

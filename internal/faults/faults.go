@@ -3,15 +3,14 @@
 // server crashes, service-time stragglers, time-varying loss windows,
 // link-latency jitter, coordinator failures, and switch outages — that
 // the simulator executes through its typed event engine (the §3.6
-// robustness story generalized from two hard-coded knobs to an open
-// family of chaos experiments).
+// robustness story — dropped messages and a switch stop — generalized
+// to an open family of chaos experiments).
 //
 // The package is a pure description layer: it knows window arithmetic
 // and contradiction rules, but nothing about the cluster that executes
 // a plan. internal/simcluster compiles a validated Plan into fault
 // transitions on its event engine; internal/scenario exposes it as
-// scenario.WithFaults, with the legacy WithLoss / WithSwitchFailure
-// options reduced to thin wrappers over one-entry plans.
+// scenario.WithFaults and scenario.WithFaultInjections.
 package faults
 
 import (
@@ -132,7 +131,8 @@ func ServerSlowdown(server int, from, until time.Duration, factor float64, ramp 
 }
 
 // Loss drops each link traversal with constant probability p during
-// [from, until) — WithLoss(p) is Loss(0, Forever, p).
+// [from, until) — Loss(0, Forever, p) is the §3.6 whole-run
+// dropped-messages model.
 func Loss(from, until time.Duration, p float64) Injection {
 	return LossRamp(from, until, p, p)
 }
@@ -164,9 +164,8 @@ func CoordinatorCrash(coord int, at, recoverAt time.Duration) Injection {
 	return Injection{Kind: KindCoordinatorCrash, Target: coord, FromNS: int64(at), UntilNS: int64(recoverAt)}
 }
 
-// SwitchOutage stops the client-side ToR during [at, recoverAt) —
-// WithSwitchFailure(failAt, recoverAt) is SwitchOutage(failAt,
-// recoverAt).
+// SwitchOutage stops the client-side ToR during [at, recoverAt) — the
+// Fig 16 stop/reactivate experiment.
 func SwitchOutage(at, recoverAt time.Duration) Injection {
 	return Injection{Kind: KindSwitchOutage, Target: -1, FromNS: int64(at), UntilNS: int64(recoverAt)}
 }

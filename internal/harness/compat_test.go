@@ -34,7 +34,7 @@ import (
 // canonicalization onto fault plans changed no pre-existing row. The
 // fabric-topology PR appended the scale-* family's rows the same way:
 // the previous pin was again verified to be a byte-for-byte prefix,
-// proving that generalizing the single-rack and MultiRack paths onto
+// proving that generalizing the single-rack and two-ToR paths onto
 // the compiled N-rack topology executor changed no pre-existing row.
 // The congestion PR appended the cong-* family's rows the same way:
 // the previous pin was again verified to be a byte-for-byte prefix,
@@ -52,6 +52,9 @@ import (
 // changed no pre-existing row — golden runs stay on the simulator, and
 // the new experiment's sim rows pin the shared chaos definition the
 // emu smoke re-runs on sockets.
+// Deleting the flat-config facade and the legacy loss, switch-failure
+// and two-ToR knobs — ext-loss, fig16 and ext-multirack now declare
+// them through fault plans and WithRacks — left the file byte-identical.
 //
 // To regenerate after an intentional, documented change:
 //
@@ -92,40 +95,16 @@ func TestGoldenReportsMatchPreRedesign(t *testing.T) {
 	}
 }
 
-// TestScenarioPathBackwardCompatible asserts the redesign's contract
-// across every registered experiment: the legacy entry path (Options
-// with no backend, as RunExperiment callers have always used) and the
-// explicit new Scenario/Backend path (Options.Backend = scenario.Sim())
-// produce byte-identical rendered reports. Together with
-// TestParallelDeterminism this pins the Sim backend's reports to the
-// pre-redesign output.
+// TestScenarioPathBackwardCompatible: Options without a Backend run on
+// the simulator, the path golden.csv pins, so callers that never set
+// Options.Backend keep their results; an explicit Backend is used as
+// given.
 func TestScenarioPathBackwardCompatible(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full compatibility sweep skipped in -short mode")
+	if got := (Options{}).backend().Name(); got != "sim" {
+		t.Fatalf("Options{} runs on backend %q, want sim", got)
 	}
-	base := Options{
-		DurationNS: 4e6,
-		WarmupNS:   1e6,
-		Seed:       9,
-		LoadFracs:  []float64{0.25, 0.7},
-		Repeats:    2,
-	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			legacy, err := e.Run(base)
-			if err != nil {
-				t.Fatalf("legacy path failed: %v", err)
-			}
-			explicit := base
-			explicit.Backend = scenario.Sim()
-			viaBackend, err := e.Run(explicit)
-			if err != nil {
-				t.Fatalf("scenario path failed: %v", err)
-			}
-			if !bytes.Equal(renderBytes(t, legacy), renderBytes(t, viaBackend)) {
-				t.Errorf("%s report differs between the legacy path and the Scenario/Backend path", e.ID)
-			}
-		})
+	emu := scenario.Emu()
+	if got := (Options{Backend: emu}).backend(); got != emu {
+		t.Fatalf("explicit Backend replaced by %q", got.Name())
 	}
 }

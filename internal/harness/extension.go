@@ -2,10 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
+	"netclone/internal/faults"
 	"netclone/internal/scenario"
 	"netclone/internal/simcluster"
+	"netclone/internal/topology"
 	"netclone/internal/workload"
 )
 
@@ -44,8 +45,11 @@ func registerExtMultiRack() {
 		Run: func(opts Options) (Report, error) {
 			opts = opts.withDefaults()
 			dist := workload.WithJitter(workload.Exp(25), highVariability)
-			base := synthetic(dist, homWorkers(defaultServers, synthThreads))
-			agg := scenario.WithMultiRack(2 * time.Microsecond)
+			workers := homWorkers(defaultServers, synthThreads)
+			base := synthetic(dist, workers)
+			// An empty client rack in front of every server: the two
+			// default 1 us uplinks make the 2 us aggregation crossing.
+			agg := scenario.WithRacks(topology.Rack{}, topology.Rack{Servers: workers})
 			series, err := pairedSweepPlan(base, []seriesSpec{
 				{Label: "Baseline multi-rack", Opts: []scenario.Option{
 					scenario.WithScheme(simcluster.Baseline), agg,
@@ -93,7 +97,7 @@ func registerExtLoss() {
 					Label: fmtPct(loss) + " loss",
 					Scenario: base.With(
 						scenario.WithScheme(simcluster.NetClone),
-						scenario.WithLoss(loss),
+						scenario.WithFaultInjections(faults.Loss(0, faults.Forever, loss)),
 						scenario.WithOfferedLoad(0.45*cap),
 						windowOf(opts),
 						scenario.WithSeed(opts.Seed),

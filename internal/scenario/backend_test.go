@@ -9,6 +9,7 @@ import (
 
 	"netclone/internal/faults"
 	"netclone/internal/simcluster"
+	"netclone/internal/topology"
 	"netclone/internal/workload"
 )
 
@@ -105,7 +106,7 @@ func TestEmuCapabilityMatrix(t *testing.T) {
 		want, setter string
 	}{
 		{"LAEDGE", base.With(WithScheme(simcluster.LAEDGE)), "coordinator", "Sim()"},
-		{"switch failure", base.With(WithSwitchFailure(time.Millisecond, 2*time.Millisecond)),
+		{"switch failure", base.With(WithFaultInjections(faults.SwitchOutage(time.Millisecond, 2*time.Millisecond))),
 			"switch-outage", "faults.SwitchOutage"},
 		{"server slowdown", base.With(WithFaultInjections(
 			faults.ServerSlowdown(0, time.Millisecond, 2*time.Millisecond, 4, 0))),
@@ -138,14 +139,16 @@ func TestEmuCapabilityMatrix(t *testing.T) {
 		name string
 		sc   *Scenario
 	}{
-		{"loss window", base.With(WithLoss(0.01))},
+		{"loss window", base.With(WithFaultInjections(faults.Loss(0, faults.Forever, 0.01)))},
 		{"loss ramp", base.With(WithFaultInjections(
 			faults.LossRamp(0, 5*time.Millisecond, 0.05, 0)))},
 		{"jitter", base.With(WithFaultInjections(
 			faults.Jitter(0, faults.Forever, 100*time.Microsecond)))},
 		{"server crash", base.With(WithFaults(faults.New(
 			faults.ServerCrash(0, time.Millisecond, 2*time.Millisecond))))},
-		{"legacy multirack", base.With(WithMultiRack(time.Microsecond))},
+		// The paper's two-ToR shape: clients alone on rack 0, every
+		// server one fabric crossing away.
+		{"legacy multirack", base.With(WithRacks(topology.Rack{}, topology.Rack{Servers: []int{2, 2}}))},
 	}
 	for _, tc := range accepted {
 		t.Run("accept/"+tc.name, func(t *testing.T) {

@@ -78,11 +78,11 @@ type emuBackend struct {
 // Supported schemes: Baseline, CClone (client-side duplicate sends),
 // NetClone, NetCloneNoFilter, and NetCloneRackSched. LAEDGE needs a
 // coordinator process the emulation does not provide. Multi-rack
-// fabrics (WithRacks/WithMultiRack) run here: each remote rack's
-// servers sit behind a relay socket injecting the compiled one-way
-// inter-ToR delay. The socket-expressible fault kinds — loss windows
-// (WithLoss/faults.Loss), link jitter (faults.Jitter), and server
-// crash/recover (faults.ServerCrash) — run here too, as wall-clock
+// fabrics (WithRacks) run here: each remote rack's servers sit behind
+// a relay socket injecting the compiled one-way inter-ToR delay. The
+// socket-expressible fault kinds — loss windows (faults.Loss), link
+// jitter (faults.Jitter), and server crash/recover
+// (faults.ServerCrash) — run here too, as wall-clock
 // windows on the emu processes. Everything else that only the
 // simulator models (congestion, switch outages, timelines, breakdown
 // sampling, explicit client placement, ablation knobs) is rejected
@@ -197,12 +197,12 @@ func (b *emuBackend) Run(sc *Scenario) (Result, error) {
 	return res, nil
 }
 
-// emuRacks lays the scenario's canonical fabric out as emu rack specs:
+// emuRacks lays the scenario's fabric out as emu rack specs:
 // every non-client rack's servers run behind a relay injecting the
 // compiled one-way inter-ToR delay. Single-rack fabrics return nil and
 // attach every server straight to the switch socket.
 func emuRacks(cfg simcluster.Config) []udpemu.RackSpec {
-	spec := cfg.CanonicalTopology()
+	spec := cfg.Topology
 	if spec.NumRacks() <= 1 {
 		return nil
 	}
@@ -217,17 +217,13 @@ func emuRacks(cfg simcluster.Config) []udpemu.RackSpec {
 	return racks
 }
 
-// emuFaults translates the scenario's fault plan — plus the legacy
-// WithLoss knob, folded in exactly as the simulator does — into the
-// emu cluster's wall-clock schedule. Window offsets map 1:1 from
+// emuFaults translates the scenario's fault plan into the emu
+// cluster's wall-clock schedule. Window offsets map 1:1 from
 // virtual time: the open loop sends rate x duration requests, so its
 // send window spans the scenario duration. checkSupported has already
 // rejected every kind the schedule cannot express.
 func emuFaults(cfg simcluster.Config) *udpemu.FaultSchedule {
 	inj := cfg.Faults.Injections()
-	if cfg.LossProb > 0 {
-		inj = append(inj, faults.Loss(0, faults.Forever, cfg.LossProb))
-	}
 	if len(inj) == 0 {
 		return nil
 	}
@@ -304,8 +300,6 @@ func (b *emuBackend) checkSupported(cfg simcluster.Config) error {
 		// an explicitly placed scenario would otherwise run with the
 		// wrong delays silently.
 		return reject("explicit client placement (WithPlacement)")
-	case cfg.SwitchFailAtNS > 0:
-		return reject("the switch failure window (WithSwitchFailure)")
 	case cfg.TimelineBinNS > 0:
 		return reject("timeline recording (WithTimeline)")
 	case cfg.SampleEvery > 0:

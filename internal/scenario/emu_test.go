@@ -55,8 +55,11 @@ func TestEmuNetCloneCounters(t *testing.T) {
 	if res.ServerProcessed < res.Completed {
 		t.Errorf("servers processed %d < %d completions", res.ServerProcessed, res.Completed)
 	}
-	if res.RedundantAtClient > res.Completed/20 {
-		t.Errorf("%d redundant responses leaked to the client with filtering on", res.RedundantAtClient)
+	// With filtering on, a slower twin reaches the client only when its
+	// fingerprint was overwritten before it arrived.
+	if res.RedundantAtClient > res.Switch.FilterOverwrites {
+		t.Errorf("%d redundant responses leaked to the client, only %d filter overwrites",
+			res.RedundantAtClient, res.Switch.FilterOverwrites)
 	}
 	if res.ThroughputRPS <= 0 {
 		t.Error("no throughput measured")

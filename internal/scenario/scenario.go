@@ -10,7 +10,6 @@ package scenario
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"netclone/internal/congestion"
@@ -39,15 +38,6 @@ func New(opts ...Option) *Scenario {
 		o(s)
 	}
 	return s
-}
-
-// FromConfig wraps a legacy flat Config as a Scenario — the migration
-// bridge for code built against the original Run(Config) API. The
-// Workers slice is copied, so later mutation of the caller's config
-// cannot reach into an immutable (possibly already-running) scenario.
-func FromConfig(cfg simcluster.Config) *Scenario {
-	cfg.Workers = append([]int(nil), cfg.Workers...)
-	return &Scenario{cfg: cfg}
 }
 
 // With returns a copy of the scenario with the extra options applied.
@@ -123,9 +113,12 @@ func clearRacks(spec *topology.Spec) *topology.Spec {
 // each rack lists its servers' worker-thread counts and optionally its
 // ToR<->spine uplink latency — crossing the fabric costs the sum of
 // both uplinks one way, so heterogeneous uplinks give per-link latency.
-// Clients are placed on rack 0 unless WithPlacement says otherwise
-// (an earlier placement is preserved). Replaces any earlier WithRacks/
-// WithTopology/WithServers declaration. Sim only.
+// The paper's two-ToR deployment is WithRacks(topology.Rack{},
+// topology.Rack{Servers: workers}): an empty client rack in front of
+// every server, 2 µs apart with the default uplinks. Clients are
+// placed on rack 0 unless WithPlacement says otherwise (an earlier
+// placement is preserved). Replaces any earlier WithRacks/
+// WithTopology/WithServers declaration. Not modelled for LAEDGE.
 func WithRacks(racks ...topology.Rack) Option {
 	return func(s *Scenario) {
 		spec := topology.New(racks...)
@@ -157,22 +150,6 @@ func WithClients(n int) Option {
 // meaningful for the LAEDGE scheme; Validate rejects other combinations.
 func WithCoordinators(n int) Option {
 	return func(s *Scenario) { s.cfg.NumCoordinators = n }
-}
-
-// WithMultiRack places the workers behind a second ToR switch reached
-// through an aggregation layer with the given extra one-way delay
-// (§3.7). A thin wrapper over the canonical two-rack fabric — an empty
-// client rack in front of one rack holding every server — executed by
-// the same N-rack topology code as WithRacks, bit-identically to the
-// original two-ToR special case for read workloads (direct write
-// requests now pay the spine crossing the old code under-charged; see
-// the simcluster.Config.MultiRack doc). Not modelled for LAEDGE; new
-// fabrics should prefer WithRacks. Sim only.
-func WithMultiRack(aggDelay time.Duration) Option {
-	return func(s *Scenario) {
-		s.cfg.MultiRack = true
-		s.cfg.AggDelayNS = aggDelay.Nanoseconds()
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -253,42 +230,18 @@ func WithFilter(tables, slots int) Option {
 // service-time stragglers, time-varying loss windows, link jitter,
 // coordinator failures, and switch outages — executed by the simulator
 // through its typed event engine. It replaces any previously composed
-// plan, including entries added by the WithLoss / WithSwitchFailure
-// wrappers; an empty (or nil) plan is byte-identical to no plan at
-// all. Sim only.
+// plan; an empty (or nil) plan is byte-identical to no plan at all.
+// The emu backend runs the loss, jitter, and server-crash kinds.
 func WithFaults(plan *faults.Plan) Option {
 	return func(s *Scenario) { s.cfg.Faults = plan }
 }
 
 // WithFaultInjections appends injections to the scenario's fault plan,
-// composing with whatever plan is already set. Sim only.
+// composing with whatever plan is already set: faults.Loss(0,
+// faults.Forever, p) is the §3.6 dropped-messages model, and
+// faults.SwitchOutage the Fig 16 switch stop.
 func WithFaultInjections(inj ...faults.Injection) Option {
 	return func(s *Scenario) { s.cfg.Faults = s.cfg.Faults.With(inj...) }
-}
-
-// WithLoss drops each link traversal independently with probability p —
-// the §3.6 dropped-messages failure model. A thin wrapper over a
-// one-entry fault plan (a constant whole-run loss window), bit-identical
-// to the pre-plan hard-coded knob. Sim only.
-func WithLoss(p float64) Option {
-	return WithFaultInjections(faults.Loss(0, faults.Forever, p))
-}
-
-// WithSwitchFailure stops the switch (dropping all packets and its soft
-// state) during [failAt, recoverAt) — the Fig 16 experiment. A thin
-// wrapper over a one-entry fault plan (faults.SwitchOutage) that keeps
-// the legacy zero semantics: both times zero means unset (no-op), and a
-// half-set window is the same validation error as before, not an
-// outage from t = 0 — use faults.SwitchOutage directly for that. Sim
-// only.
-func WithSwitchFailure(failAt, recoverAt time.Duration) Option {
-	if failAt <= 0 || recoverAt <= 0 {
-		return func(s *Scenario) {
-			s.cfg.SwitchFailAtNS = failAt.Nanoseconds()
-			s.cfg.SwitchRecoverAtNS = recoverAt.Nanoseconds()
-		}
-	}
-	return WithFaultInjections(faults.SwitchOutage(failAt, recoverAt))
 }
 
 // ---------------------------------------------------------------------
@@ -353,13 +306,7 @@ func WithSingleOrderingGroups() Option {
 // it before executing; call it directly to fail fast at build time.
 func (s *Scenario) Validate() error {
 	cfg := s.cfg
-	// A Config carrying only a Topology (the FromConfig bridge) is
-	// valid: resolve the server list the way the executor will, so the
-	// scenario surface validates the exact fabric that runs.
 	workers := cfg.Workers
-	if len(workers) == 0 && cfg.Topology.NumRacks() > 0 {
-		workers = cfg.Topology.FlatWorkers()
-	}
 	if len(workers) == 0 {
 		return fmt.Errorf("scenario: no servers declared; add WithTopology(threads...), WithServers(n, threads), or WithRacks(racks...)")
 	}
@@ -401,15 +348,6 @@ func (s *Scenario) Validate() error {
 	if cfg.FilterSlots < 0 || (cfg.FilterSlots > 0 && cfg.FilterSlots&(cfg.FilterSlots-1) != 0) {
 		return fmt.Errorf("scenario: %d filter slots per table, need a power of two (WithFilter)", cfg.FilterSlots)
 	}
-	if cfg.LossProb < 0 || cfg.LossProb >= 1 {
-		return fmt.Errorf("scenario: loss probability %g, need [0, 1) (WithLoss)", cfg.LossProb)
-	}
-	if (cfg.SwitchFailAtNS > 0) != (cfg.SwitchRecoverAtNS > 0) {
-		return fmt.Errorf("scenario: switch failure needs both fail and recovery times > 0 (WithSwitchFailure)")
-	}
-	if cfg.SwitchFailAtNS > 0 && cfg.SwitchRecoverAtNS <= cfg.SwitchFailAtNS {
-		return fmt.Errorf("scenario: switch recovery at %d ns is not after failure at %d ns (WithSwitchFailure)", cfg.SwitchRecoverAtNS, cfg.SwitchFailAtNS)
-	}
 	if cfg.TimelineBinNS < 0 {
 		return fmt.Errorf("scenario: timeline bin is %d ns, need >= 0 (WithTimeline)", cfg.TimelineBinNS)
 	}
@@ -425,20 +363,11 @@ func (s *Scenario) Validate() error {
 	if cfg.TraceCap > 0 && cfg.TraceRate == 0 {
 		return fmt.Errorf("scenario: trace ring capacity set without a sampling rate; pass WithTrace(rate, cap) with rate >= 1")
 	}
-	if cfg.MultiRack && cfg.Topology != nil {
-		if cfg.Topology.NumRacks() == 0 {
-			return fmt.Errorf("scenario: WithPlacement needs a WithRacks fabric and cannot combine with WithMultiRack; declare the fabric with WithRacks instead")
-		}
-		return fmt.Errorf("scenario: both WithMultiRack and WithRacks declared; declare the fabric exactly once")
-	}
-	if cfg.Topology.NumRacks() > 0 && len(cfg.Workers) > 0 && !slices.Equal(cfg.Workers, cfg.Topology.FlatWorkers()) {
-		return fmt.Errorf("scenario: WithTopology/WithServers %v disagrees with the WithRacks server list %v; declare the servers in one place", cfg.Workers, cfg.Topology.FlatWorkers())
-	}
-	if spec := cfg.CanonicalTopology(); spec != nil {
+	if cfg.Topology != nil {
 		// One validation surface for the fabric: the simulator's config
 		// normalization runs the identical check, so both entry points
 		// emit one uniform message (the LAEDGE contradiction included).
-		if err := spec.Validate(topology.Cluster{Coordinators: cfg.CoordinatorTier()}); err != nil {
+		if err := cfg.Topology.Validate(topology.Cluster{Coordinators: cfg.CoordinatorTier()}); err != nil {
 			return fmt.Errorf("scenario: invalid topology: %w", err)
 		}
 	}

@@ -2,7 +2,9 @@ package simcluster
 
 import (
 	"testing"
+	"time"
 
+	"netclone/internal/faults"
 	"netclone/internal/kvstore"
 	"netclone/internal/workload"
 )
@@ -289,10 +291,12 @@ func TestSwitchFailureTimeline(t *testing.T) {
 	cfg := fastConfig(NetClone)
 	cfg.WarmupNS = 0
 	cfg.DurationNS = 500e6
-	cfg.SwitchFailAtNS = 200e6
-	cfg.SwitchRecoverAtNS = 300e6
+	cfg.Faults = faults.New(faults.SwitchOutage(200*time.Millisecond, 300*time.Millisecond))
 	cfg.TimelineBinNS = 100e6
 	res := mustRun(t, cfg)
+	if res.Faults == nil || res.Faults.Transitions != 2 {
+		t.Fatalf("switch outage did not execute its two transitions: %+v", res.Faults)
+	}
 	rate := res.Timeline.Rate()
 	if len(rate) < 5 {
 		t.Fatalf("timeline too short: %d bins", len(rate))

@@ -1,10 +1,20 @@
 package simcluster
 
-import "testing"
+import (
+	"testing"
+
+	"netclone/internal/faults"
+)
+
+// withLoss drops each link traversal with probability p for the whole
+// run — the §3.6 dropped-messages model.
+func withLoss(cfg *Config, p float64) {
+	cfg.Faults = faults.New(faults.Loss(0, faults.Forever, p))
+}
 
 func TestLossModelDropsPackets(t *testing.T) {
 	cfg := fastConfig(NetClone)
-	cfg.LossProb = 0.01
+	withLoss(&cfg, 0.01)
 	cfg.DurationNS = 60e6
 	res := mustRun(t, cfg)
 	if res.LostPackets == 0 {
@@ -27,7 +37,7 @@ func TestLossModelDropsPackets(t *testing.T) {
 // requests must not be spuriously dropped at a growing rate.
 func TestFilterSlotsNotStuckUnderLoss(t *testing.T) {
 	cfg := fastConfig(NetClone)
-	cfg.LossProb = 0.02
+	withLoss(&cfg, 0.02)
 	cfg.DurationNS = 80e6
 	cfg.FilterSlots = 256 // tiny: every lingering fingerprint matters
 	cfg.FilterTables = 2
@@ -50,13 +60,13 @@ func TestZeroLossIsLossless(t *testing.T) {
 	cfg := fastConfig(NetClone)
 	res := mustRun(t, cfg)
 	if res.LostPackets != 0 {
-		t.Fatalf("LossProb=0 lost %d packets", res.LostPackets)
+		t.Fatalf("fault-free run lost %d packets", res.LostPackets)
 	}
 }
 
 func TestLossDeterminism(t *testing.T) {
 	cfg := fastConfig(Baseline)
-	cfg.LossProb = 0.05
+	withLoss(&cfg, 0.05)
 	a := mustRun(t, cfg)
 	b := mustRun(t, cfg)
 	if a.LostPackets != b.LostPackets || a.Completed != b.Completed {

@@ -1,11 +1,22 @@
 package simcluster
 
-import "testing"
+import (
+	"testing"
+
+	"netclone/internal/topology"
+)
+
+// twoRack moves cfg onto the paper's two-ToR deployment (§3.7): an
+// empty client rack in front of one rack holding every server, the two
+// default uplinks making a 2 us one-way crossing.
+func twoRack(cfg *Config) {
+	cfg.Topology = topology.New(topology.Rack{}, topology.Rack{Servers: cfg.Workers})
+}
 
 func TestMultiRackConservation(t *testing.T) {
 	for _, scheme := range []Scheme{Baseline, CClone, NetClone, NetCloneRackSched} {
 		cfg := fastConfig(scheme)
-		cfg.MultiRack = true
+		twoRack(&cfg)
 		res := mustRun(t, cfg)
 		if res.Completed != res.Generated {
 			t.Errorf("%v multi-rack lost requests: %d/%d", scheme, res.Completed, res.Generated)
@@ -15,9 +26,9 @@ func TestMultiRackConservation(t *testing.T) {
 
 func TestMultiRackRejectsLaedge(t *testing.T) {
 	cfg := fastConfig(LAEDGE)
-	cfg.MultiRack = true
+	twoRack(&cfg)
 	if _, err := Run(cfg); err == nil {
-		t.Fatal("LAEDGE + MultiRack must be rejected")
+		t.Fatal("LAEDGE on a two-rack fabric must be rejected")
 	}
 }
 
@@ -26,13 +37,16 @@ func TestMultiRackRejectsLaedge(t *testing.T) {
 // or track state for packets stamped by the client-side ToR.
 func TestMultiRackOwnershipRule(t *testing.T) {
 	cfg := fastConfig(NetClone)
-	cfg.MultiRack = true
+	twoRack(&cfg)
 	res := mustRun(t, cfg)
 
 	if res.Switch.Cloned == 0 {
 		t.Fatal("client-side ToR never cloned at low load")
 	}
-	remote := res.RemoteSwitch
+	if len(res.Racks) != 2 {
+		t.Fatalf("per-rack rollup has %d racks, want 2", len(res.Racks))
+	}
+	remote := res.Racks[1].Switch
 	if remote.PassL3 == 0 {
 		t.Fatal("server-side ToR never exercised the pass-through path")
 	}
@@ -62,8 +76,8 @@ func TestMultiRackLatencyIncludesAggLayer(t *testing.T) {
 	cfg := fastConfig(NetClone)
 	cfg.OfferedRPS = 50_000
 	single := mustRun(t, cfg)
-	cfg.MultiRack = true
-	cfg.AggDelayNS = 2000
+	twoRack(&cfg)
+	const aggNS = 2 * int64(topology.DefaultUplink)
 	multi := mustRun(t, cfg)
 
 	// Two extra aggregation traversals (request and response) plus two
@@ -72,8 +86,8 @@ func TestMultiRackLatencyIncludesAggLayer(t *testing.T) {
 	// 2*(agg + switchDelay) - is the dominant term; assert the floor
 	// moved up by at least 2*agg.
 	extra := multi.Latency.Min - single.Latency.Min
-	if extra < 2*cfg.AggDelayNS {
-		t.Errorf("multi-rack min latency extra %dns, want >= %dns", extra, 2*cfg.AggDelayNS)
+	if extra < 2*aggNS {
+		t.Errorf("multi-rack min latency extra %dns, want >= %dns", extra, 2*aggNS)
 	}
 	// And cloning still wins on the tail in multi-rack deployments.
 	cfgB := cfg
@@ -86,18 +100,17 @@ func TestMultiRackLatencyIncludesAggLayer(t *testing.T) {
 
 func TestMultiRackDeterminism(t *testing.T) {
 	cfg := fastConfig(NetClone)
-	cfg.MultiRack = true
+	twoRack(&cfg)
 	a := mustRun(t, cfg)
 	b := mustRun(t, cfg)
-	if a.Latency != b.Latency || a.RemoteSwitch != b.RemoteSwitch {
+	if a.Latency != b.Latency || a.Racks[1] != b.Racks[1] {
 		t.Error("multi-rack runs not deterministic")
 	}
 }
 
 func TestSingleRackHasNoRemoteStats(t *testing.T) {
 	res := mustRun(t, fastConfig(NetClone))
-	var zero = res.RemoteSwitch
-	if zero.PassL3 != 0 || zero.Requests != 0 {
-		t.Error("single-rack run reported remote switch activity")
+	if res.Racks != nil {
+		t.Errorf("single-rack run reported a per-rack rollup: %+v", res.Racks)
 	}
 }

@@ -32,7 +32,7 @@ func perfTestConfigs() map[string]Config {
 		return c
 	}
 	congested := func(c *Config) {
-		c.MultiRack = true
+		twoRack(c)
 		c.Congestion = congTestSpec()
 	}
 	return map[string]Config{
@@ -40,8 +40,8 @@ func perfTestConfigs() map[string]Config {
 		"cclone":    withScheme(CClone, nil),
 		"laedge":    withScheme(LAEDGE, func(c *Config) { c.NumCoordinators = 2 }),
 		"nofilter":  withScheme(NetCloneNoFilter, nil),
-		"lossy":     withScheme(NetClone, func(c *Config) { c.LossProb = 0.01 }),
-		"multirack": withScheme(NetClone, func(c *Config) { c.MultiRack = true }),
+		"lossy":     withScheme(NetClone, func(c *Config) { withLoss(c, 0.01) }),
+		"multirack": withScheme(NetClone, twoRack),
 		"sampled":   withScheme(NetClone, func(c *Config) { c.SampleEvery = 10 }),
 		"congested": withScheme(NetClone, congested),
 		"suppress":  withScheme(NetCloneSuppress, congested),

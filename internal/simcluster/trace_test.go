@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 
+	"netclone/internal/faults"
 	"netclone/internal/trace"
 )
 
@@ -32,8 +34,7 @@ func traceEquivalenceConfigs() map[string]Config {
 		cfgs[name] = c
 	}
 	failed := cfgs["netclone"]
-	failed.SwitchFailAtNS = 1.5e6
-	failed.SwitchRecoverAtNS = 2e6
+	failed.Faults = faults.New(faults.SwitchOutage(1500*time.Microsecond, 2*time.Millisecond))
 	cfgs["switchfail"] = failed
 	return cfgs
 }

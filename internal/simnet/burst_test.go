@@ -174,14 +174,15 @@ func TestBurstDrainRenumberMidBurst(t *testing.T) {
 // backwards). The advance is now bounded by the overflow head's bucket.
 func TestOverflowPullBehindCursorRegression(t *testing.T) {
 	e := NewEngine()
+	f := newFuncHandler(e)
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }
-	e.At(0, rec)
-	e.At(384, func() {
+	f.at(0, rec)
+	f.at(384, func() {
 		rec()
-		e.At(131328, rec) // bucket 1026: ring, at the far horizon
+		f.at(131328, rec) // bucket 1026: ring, at the far horizon
 	})
-	e.At(131200, rec) // beyond the t=0 horizon: overflow
+	f.at(131200, rec) // beyond the t=0 horizon: overflow
 	e.Run()
 	want := []Time{0, 384, 131200, 131328}
 	if len(got) != len(want) {

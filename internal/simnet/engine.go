@@ -24,11 +24,9 @@
 // an interface payload, so record copies are barrier-traffic a profile
 // showed dominating a value-based layout.
 //
-// Hot callers Register a Handler once and schedule through the typed
+// Callers Register a Handler once and schedule through the typed
 // Schedule/ScheduleAfter API with the returned handler ID — events
-// carry the 4-byte ID, not the interface value; At/After remain for
-// cold paths and tests, paying one closure allocation per call exactly
-// as before.
+// carry the 4-byte ID, not the interface value.
 package simnet
 
 import (
@@ -53,9 +51,8 @@ type Handler interface {
 	OnEvent(kind uint8, arg any, x int64)
 }
 
-// eventRec is one scheduled event, stored in the engine's slab.
-// Exactly one of hid (typed event, registered handler ID) and
-// arg-as-func (closure event, hid == 0) is used at dispatch. nxt chains
+// eventRec is one scheduled event, stored in the engine's slab: hid is
+// the registered handler's ID, kind/arg/x its payload. nxt chains
 // records into a bucket (or the free list) by slab index; records never
 // move once written.
 type eventRec struct {
@@ -138,9 +135,9 @@ type Engine struct {
 
 	overflow []int32 // binary min-heap: events beyond the ring horizon
 
-	// handlers[hid-1] is the target of typed events scheduled with hid;
-	// ID 0 means a closure event. Registration order is irrelevant to
-	// event order — IDs are pure dispatch indices.
+	// handlers[hid-1] is the target of events scheduled with hid (IDs
+	// start at 1). Registration order is irrelevant to event order —
+	// IDs are pure dispatch indices.
 	handlers []Handler
 
 	// tel, when non-nil, is the observational telemetry probe
@@ -375,22 +372,6 @@ func (e *Engine) ScheduleAfter(d int64, hid int32, kind uint8, arg any, x int64)
 	e.schedule(e.now+d, hid, kind, arg, x)
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past (or
-// present) runs at the current time, after already-queued events for that
-// time.
-func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, 0, 0, fn, 0)
-}
-
-// After schedules fn to run d nanoseconds from now. Non-positive delays
-// run at the current time.
-func (e *Engine) After(d int64, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.schedule(e.now+d, 0, 0, fn, 0)
-}
-
 // heapPush adds index i to a binary min-heap ordered by (at, seq).
 func (e *Engine) heapPush(h []int32, i int32) []int32 {
 	h = append(h, i)
@@ -605,11 +586,7 @@ func (e *Engine) dispatch(i int32) {
 	e.release(i)
 	e.now = rec.at
 	e.steps++
-	if rec.hid != 0 {
-		e.handlers[rec.hid-1].OnEvent(rec.kind, rec.arg, rec.x)
-	} else {
-		rec.arg.(func())()
-	}
+	e.handlers[rec.hid-1].OnEvent(rec.kind, rec.arg, rec.x)
 }
 
 // Step runs the earliest pending event and returns true, or returns false

@@ -5,12 +5,34 @@ import (
 	"testing/quick"
 )
 
+// funcHandler is the engine tests' Handler: every event carries the
+// func() to run in its arg.
+type funcHandler struct {
+	e   *Engine
+	hid int32
+}
+
+func newFuncHandler(e *Engine) *funcHandler {
+	h := &funcHandler{e: e}
+	h.hid = e.Register(h)
+	return h
+}
+
+func (h *funcHandler) OnEvent(_ uint8, arg any, _ int64) { arg.(func())() }
+
+// at schedules fn at absolute time t.
+func (h *funcHandler) at(t Time, fn func()) { h.e.Schedule(t, h.hid, 0, fn, 0) }
+
+// after schedules fn d nanoseconds from now.
+func (h *funcHandler) after(d int64, fn func()) { h.e.ScheduleAfter(d, h.hid, 0, fn, 0) }
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine()
+	f := newFuncHandler(e)
 	var got []Time
 	for _, at := range []Time{50, 10, 30, 20, 40} {
 		at := at
-		e.At(at, func() { got = append(got, at) })
+		f.at(at, func() { got = append(got, at) })
 	}
 	e.Run()
 	for i := 1; i < len(got); i++ {
@@ -28,10 +50,11 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 
 func TestEqualTimesFIFO(t *testing.T) {
 	e := NewEngine()
+	f := newFuncHandler(e)
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(100, func() { got = append(got, i) })
+		f.at(100, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i, v := range got {
@@ -43,42 +66,46 @@ func TestEqualTimesFIFO(t *testing.T) {
 
 func TestAfterSchedulesRelative(t *testing.T) {
 	e := NewEngine()
+	f := newFuncHandler(e)
 	var fired Time = -1
-	e.At(100, func() {
-		e.After(50, func() { fired = e.Now() })
+	f.at(100, func() {
+		f.after(50, func() { fired = e.Now() })
 	})
 	e.Run()
 	if fired != 150 {
-		t.Fatalf("After fired at %d, want 150", fired)
+		t.Fatalf("ScheduleAfter fired at %d, want 150", fired)
 	}
 }
 
 func TestPastSchedulingClamped(t *testing.T) {
 	e := NewEngine()
+	f := newFuncHandler(e)
 	var fired Time = -1
-	e.At(100, func() {
-		e.At(10, func() { fired = e.Now() }) // in the past
+	f.at(100, func() {
+		f.at(10, func() { fired = e.Now() }) // in the past
 	})
 	e.Run()
 	if fired != 100 {
 		t.Fatalf("past event fired at %d, want clamped to 100", fired)
 	}
 	e2 := NewEngine()
-	e2.At(5, func() {})
+	f2 := newFuncHandler(e2)
+	f2.at(5, func() {})
 	e2.Run()
-	e2.After(-10, func() {})
+	f2.after(-10, func() {})
 	e2.Run()
 	if e2.Now() != 5 {
-		t.Fatalf("negative After moved clock to %d", e2.Now())
+		t.Fatalf("negative ScheduleAfter delay moved clock to %d", e2.Now())
 	}
 }
 
 func TestRunUntilLeavesLaterEvents(t *testing.T) {
 	e := NewEngine()
+	f := newFuncHandler(e)
 	ran := map[Time]bool{}
 	for _, at := range []Time{10, 20, 30} {
 		at := at
-		e.At(at, func() { ran[at] = true })
+		f.at(at, func() { ran[at] = true })
 	}
 	e.RunUntil(20)
 	if !ran[10] || !ran[20] || ran[30] {
@@ -107,15 +134,16 @@ func TestStepOnEmpty(t *testing.T) {
 func TestCascadingEvents(t *testing.T) {
 	// An event chain where each event schedules the next must run fully.
 	e := NewEngine()
+	f := newFuncHandler(e)
 	count := 0
 	var tick func()
 	tick = func() {
 		count++
 		if count < 1000 {
-			e.After(1, tick)
+			f.after(1, tick)
 		}
 	}
-	e.At(0, tick)
+	f.at(0, tick)
 	e.Run()
 	if count != 1000 {
 		t.Fatalf("chain ran %d times, want 1000", count)
@@ -129,6 +157,7 @@ func TestOrderProperty(t *testing.T) {
 	// Property: for any set of times, execution order is a stable sort.
 	f := func(times []uint16) bool {
 		e := NewEngine()
+		h := newFuncHandler(e)
 		type rec struct {
 			at  Time
 			idx int
@@ -136,7 +165,7 @@ func TestOrderProperty(t *testing.T) {
 		var got []rec
 		for i, at := range times {
 			i, at := i, Time(at)
-			e.At(at, func() { got = append(got, rec{at, i}) })
+			h.at(at, func() { got = append(got, rec{at, i}) })
 		}
 		e.Run()
 		for i := 1; i < len(got); i++ {
@@ -177,21 +206,22 @@ func TestNewRNGStreamsIndependent(t *testing.T) {
 }
 
 // TestPastSchedulingFIFOAfterQueued pins the clamping contract from the
-// At doc: an event scheduled in the past (or at t == now) runs at the
+// Schedule doc: an event scheduled in the past (or at t == now) runs at the
 // current time, AFTER every event already queued for that time — the
 // global seq counter, not the requested time, breaks the tie.
 func TestPastSchedulingFIFOAfterQueued(t *testing.T) {
 	e := NewEngine()
+	f := newFuncHandler(e)
 	var got []int
-	e.At(100, func() {
+	f.at(100, func() {
 		// Queue three more events at the current time...
 		for i := 1; i <= 3; i++ {
 			i := i
-			e.At(100, func() { got = append(got, i) })
+			f.at(100, func() { got = append(got, i) })
 		}
 		// ...then schedule into the past: it must clamp to now and run
 		// after the same-time events queued above.
-		e.At(10, func() { got = append(got, 99) })
+		f.at(10, func() { got = append(got, 99) })
 	})
 	e.Run()
 	want := []int{1, 2, 3, 99}
@@ -210,18 +240,19 @@ func TestPastSchedulingFIFOAfterQueued(t *testing.T) {
 // events in FIFO order instead of minting tie-breakers below them.
 func TestSeqOverflowPreservesFIFO(t *testing.T) {
 	e := NewEngine()
+	f := newFuncHandler(e)
 	var got []int
 	for i := 0; i < 4; i++ {
 		i := i
-		e.At(50, func() { got = append(got, i) })
+		f.at(50, func() { got = append(got, i) })
 	}
 	// Force the next schedule to hit the overflow guard.
 	e.seq = ^uint64(0)
-	e.At(50, func() { got = append(got, 4) })
+	f.at(50, func() { got = append(got, 4) })
 	if e.seq == 0 || e.seq == ^uint64(0) {
 		t.Fatalf("seq counter not renumbered: %d", e.seq)
 	}
-	e.At(50, func() { got = append(got, 5) })
+	f.at(50, func() { got = append(got, 5) })
 	e.Run()
 	for i, v := range got {
 		if v != i {
@@ -235,16 +266,18 @@ func TestSeqOverflowPreservesFIFO(t *testing.T) {
 
 func TestEngineReset(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {})
-	e.At(20, func() {})
+	f := newFuncHandler(e)
+	f.at(10, func() {})
+	f.at(20, func() {})
 	e.Run()
-	e.At(30, func() {})
+	f.at(30, func() {})
 	e.Reset()
 	if e.Now() != 0 || e.Pending() != 0 || e.Steps() != 0 {
 		t.Fatalf("Reset left now=%d pending=%d steps=%d", e.Now(), e.Pending(), e.Steps())
 	}
 	var fired Time = -1
-	e.At(5, func() { fired = e.Now() })
+	f = newFuncHandler(e) // Reset drops registrations
+	f.at(5, func() { fired = e.Now() })
 	e.Run()
 	if fired != 5 || e.seq != 1 {
 		t.Fatalf("reused engine fired at %d with seq %d, want 5 and 1", fired, e.seq)
@@ -319,8 +352,9 @@ func (h *scriptHandler) OnEvent(kind uint8, arg any, x int64) {
 }
 
 // TestEngineTypedVsClosureEquivalence runs the same randomized schedule
-// script three ways — reference model, closure API, typed API — and
-// requires the identical firing sequence (time and identity) from each.
+// script through the reference model of the original closure engine and
+// through the typed API, and requires the identical firing sequence
+// (time and identity) from both.
 // Scripts include past/present scheduling, heavy ties, and events that
 // schedule follow-up events (cascades).
 func TestEngineTypedVsClosureEquivalence(t *testing.T) {
@@ -368,23 +402,6 @@ func TestEngineTypedVsClosureEquivalence(t *testing.T) {
 			}
 		}
 
-		// Closure API.
-		ce := NewEngine()
-		var closureFires []refFire
-		var fire func(id int)
-		fire = func(id int) {
-			closureFires = append(closureFires, refFire{at: ce.Now(), id: id})
-			for _, op := range follow[id] {
-				op := op
-				ce.After(op.delay, func() { fire(op.id) })
-			}
-		}
-		for _, op := range initial {
-			op := op
-			ce.At(op.delay, func() { fire(op.id) })
-		}
-		ce.Run()
-
 		// Typed API.
 		te := NewEngine()
 		var typedFires []refFire
@@ -395,27 +412,16 @@ func TestEngineTypedVsClosureEquivalence(t *testing.T) {
 		}
 		te.Run()
 
-		for name, got := range map[string][]refFire{"closure": closureFires, "typed": typedFires} {
-			if len(got) != len(refFires) {
-				t.Fatalf("trial %d: %s engine ran %d events, reference ran %d", trial, name, len(got), len(refFires))
-			}
-			for i := range refFires {
-				if got[i] != refFires[i] {
-					t.Fatalf("trial %d: %s engine diverged at event %d: got %+v, want %+v",
-						trial, name, i, got[i], refFires[i])
-				}
+		if len(typedFires) != len(refFires) {
+			t.Fatalf("trial %d: typed engine ran %d events, reference ran %d", trial, len(typedFires), len(refFires))
+		}
+		for i := range refFires {
+			if typedFires[i] != refFires[i] {
+				t.Fatalf("trial %d: typed engine diverged at event %d: got %+v, want %+v",
+					trial, i, typedFires[i], refFires[i])
 			}
 		}
 	}
-}
-
-func BenchmarkEngineScheduleAndRun(b *testing.B) {
-	e := NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.At(Time(i), func() {})
-	}
-	e.Run()
 }
 
 // TestZeroValueEngine pins the documented contract that the zero value
@@ -425,12 +431,13 @@ func BenchmarkEngineScheduleAndRun(b *testing.B) {
 // nil slab or misread an empty chain.
 func TestZeroValueEngine(t *testing.T) {
 	var e Engine
+	f := newFuncHandler(&e)
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }
-	e.At(30, rec)
-	e.At(10, func() {
+	f.at(30, rec)
+	f.at(10, func() {
 		rec()
-		e.After(5, rec)
+		f.after(5, rec)
 	})
 	e.Run()
 	want := []Time{10, 15, 30}
@@ -449,10 +456,9 @@ type nopHandler struct{}
 
 func (nopHandler) OnEvent(uint8, any, int64) {}
 
-// BenchmarkEngineTypedScheduleAndRun is the typed-event counterpart of
-// BenchmarkEngineScheduleAndRun: the hot-path scheduling mode used by
-// the cluster simulation. Steady state is allocation-free (the heap
-// grows once, then is reused).
+// BenchmarkEngineTypedScheduleAndRun measures typed scheduling, the
+// mode the cluster simulation uses. Steady state is allocation-free
+// (the heap grows once, then is reused).
 func BenchmarkEngineTypedScheduleAndRun(b *testing.B) {
 	e := NewEngine()
 	hid := e.Register(nopHandler{})

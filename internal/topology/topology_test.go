@@ -92,23 +92,6 @@ func TestCompileLeafSpine(t *testing.T) {
 	}
 }
 
-func TestLegacyMultiRackExactDelay(t *testing.T) {
-	// The legacy AggDelayNS is charged exactly, odd values included —
-	// the wrapper must not round through the uplink split.
-	for _, agg := range []int64{1, 2, 1999, 2000, 2001} {
-		c := LegacyMultiRack([]int{16, 16}, agg).Compile()
-		if got := c.InterDelayNS[0][1]; got != agg {
-			t.Errorf("agg %d: compiled inter-rack delay %d", agg, got)
-		}
-		if c.SwitchIDs[0] != 1 || c.SwitchIDs[1] != 2 {
-			t.Errorf("agg %d: switch IDs %v, want [1 2] (legacy stamp values)", agg, c.SwitchIDs)
-		}
-		if c.ClientRack != 0 || len(c.Workers) != 2 {
-			t.Errorf("agg %d: shape %+v", agg, c)
-		}
-	}
-}
-
 // TestSpecImmutable pins the immutability contract: neither the
 // caller's input slices nor the accessors' returned copies alias the
 // spec's internal state.

@@ -4,20 +4,26 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"netclone"
 )
 
+// facadeRunScenario is a small single-rack NetClone run declared with
+// the facade's options.
+func facadeRunScenario(warmup, duration time.Duration, seed uint64) *netclone.Scenario {
+	return netclone.NewScenario(
+		netclone.WithScheme(netclone.NetClone),
+		netclone.WithTopology(8, 8),
+		netclone.WithWorkload(netclone.WithJitter(netclone.Exp(25), 0.01)),
+		netclone.WithOfferedLoad(100_000),
+		netclone.WithWindow(warmup, duration),
+		netclone.WithSeed(seed),
+	)
+}
+
 func TestFacadeRun(t *testing.T) {
-	res, err := netclone.Run(netclone.Config{
-		Scheme:     netclone.NetClone,
-		Workers:    []int{8, 8},
-		Service:    netclone.WithJitter(netclone.Exp(25), 0.01),
-		OfferedRPS: 100_000,
-		WarmupNS:   5e6,
-		DurationNS: 25e6,
-		Seed:       1,
-	})
+	res, err := netclone.Sim().Run(facadeRunScenario(5*time.Millisecond, 25*time.Millisecond, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,39 +32,6 @@ func TestFacadeRun(t *testing.T) {
 	}
 	if res.Latency.P99 <= 0 {
 		t.Fatal("no latency recorded")
-	}
-}
-
-func TestFacadeRunParallel(t *testing.T) {
-	base := netclone.Config{
-		Scheme:     netclone.NetClone,
-		Workers:    []int{8, 8},
-		Service:    netclone.WithJitter(netclone.Exp(25), 0.01),
-		OfferedRPS: 100_000,
-		WarmupNS:   1e6,
-		DurationNS: 5e6,
-	}
-	cfgs := make([]netclone.Config, 6)
-	for i := range cfgs {
-		cfgs[i] = base
-		cfgs[i].Seed = uint64(i + 1)
-	}
-	parallel, err := netclone.RunParallel(cfgs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parallel) != len(cfgs) {
-		t.Fatalf("got %d results, want %d", len(parallel), len(cfgs))
-	}
-	// Identical to running each point alone, in input order.
-	for i, cfg := range cfgs {
-		solo, err := netclone.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parallel[i].Completed != solo.Completed || parallel[i].Latency.P99 != solo.Latency.P99 {
-			t.Errorf("point %d: parallel result diverges from solo run", i)
-		}
 	}
 }
 

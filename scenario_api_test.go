@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"netclone"
+	"netclone/internal/simcluster"
+	"netclone/internal/topology"
 )
 
 // facadeScenario is the quickstart shape, scaled down for tests.
@@ -33,19 +35,20 @@ func TestScenarioSimBackend(t *testing.T) {
 	}
 }
 
-// TestScenarioMatchesLegacyRun asserts the compatibility wrapper
-// contract: the legacy Run(Config) path and the Scenario path produce
-// bit-identical simulation results for equivalent inputs.
+// TestScenarioMatchesLegacyRun: a facade scenario runs exactly the flat
+// engine config written out field by field (windows in nanoseconds,
+// the fabric as a topology.Spec), so the options map onto the engine
+// with nothing added or dropped.
 func TestScenarioMatchesLegacyRun(t *testing.T) {
 	cases := []struct {
-		name   string
-		sc     *netclone.Scenario
-		legacy netclone.Config
+		name string
+		sc   *netclone.Scenario
+		flat simcluster.Config
 	}{
 		{
 			name: "synthetic",
 			sc:   facadeScenario(),
-			legacy: netclone.Config{
+			flat: simcluster.Config{
 				Scheme:     netclone.NetClone,
 				Workers:    []int{8, 8},
 				Service:    netclone.WithJitter(netclone.Exp(25), 0.01),
@@ -59,22 +62,22 @@ func TestScenarioMatchesLegacyRun(t *testing.T) {
 			name: "multirack heterogeneous",
 			sc: netclone.NewScenario(
 				netclone.WithScheme(netclone.NetCloneRackSched),
-				netclone.WithTopology(15, 8),
 				netclone.WithWorkload(netclone.Exp(25)),
 				netclone.WithOfferedLoad(5e4),
 				netclone.WithWindow(0, 5*time.Millisecond),
 				netclone.WithSeed(7),
-				netclone.WithMultiRack(2*time.Microsecond),
+				netclone.WithRacks(netclone.Rack{}, netclone.Rack{Servers: []int{15, 8}}),
 			),
-			legacy: netclone.Config{
+			flat: simcluster.Config{
 				Scheme:     netclone.NetCloneRackSched,
-				Workers:    []int{15, 8},
 				Service:    netclone.Exp(25),
 				OfferedRPS: 5e4,
 				DurationNS: 5e6,
 				Seed:       7,
-				MultiRack:  true,
-				AggDelayNS: 2000,
+				Topology: topology.New(
+					topology.Rack{Uplink: time.Microsecond},
+					topology.Rack{Servers: []int{15, 8}, Uplink: time.Microsecond},
+				),
 			},
 		},
 	}
@@ -84,21 +87,12 @@ func TestScenarioMatchesLegacyRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaLegacy, err := netclone.Run(tc.legacy)
+			viaFlat, err := simcluster.Run(tc.flat)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(viaScenario.Result, viaLegacy) {
-				t.Error("Scenario path result diverges from legacy Run(Config)")
-			}
-			// The bridge direction too: a wrapped legacy config behaves
-			// identically.
-			viaBridge, err := netclone.Sim().Run(netclone.ScenarioFromConfig(tc.legacy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(viaBridge.Result, viaLegacy) {
-				t.Error("ScenarioFromConfig path diverges from legacy Run(Config)")
+			if !reflect.DeepEqual(viaScenario.Result, viaFlat) {
+				t.Error("Scenario path result diverges from the flat engine config")
 			}
 		})
 	}
@@ -113,10 +107,10 @@ func TestScenarioValidateSurfaced(t *testing.T) {
 		netclone.WithWorkload(netclone.Exp(25)),
 		netclone.WithOfferedLoad(1e5),
 		netclone.WithWindow(0, time.Millisecond),
-		netclone.WithMultiRack(2*time.Microsecond),
+		netclone.WithRacks(netclone.Rack{}, netclone.HomRack(4, 8, 0)),
 	)
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "multi-rack") {
-		t.Fatalf("MultiRack+LAEDGE not rejected usefully: %v", err)
+		t.Fatalf("multi-rack LAEDGE not rejected usefully: %v", err)
 	}
 	if _, err := netclone.Sim().Run(bad); err == nil {
 		t.Fatal("backend ran an invalid scenario")
@@ -183,7 +177,7 @@ func TestRenderJSON(t *testing.T) {
 
 // TestFacadeLeafSpine exercises the fabric topology API end to end
 // through the facade: a WithRacks fabric runs, rolls its counters up
-// per rack, and the two-rack shape reproduces WithMultiRack exactly.
+// per rack, and only the clients' ToR clones.
 func TestFacadeLeafSpine(t *testing.T) {
 	sim := netclone.Sim()
 	fabric := netclone.NewScenario(
@@ -210,25 +204,5 @@ func TestFacadeLeafSpine(t *testing.T) {
 		if rs.Switch.Cloned != 0 {
 			t.Errorf("rack %d ToR cloned %d requests (ownership rule)", rs.Rack, rs.Switch.Cloned)
 		}
-	}
-
-	// Migration contract: WithMultiRack is now a thin wrapper over the
-	// canonical two-rack fabric — the explicit WithRacks spelling of the
-	// same shape is byte-identical.
-	base := facadeScenario()
-	legacy, err := sim.Run(base.With(netclone.WithMultiRack(2 * time.Microsecond)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRacks, err := sim.Run(base.With(
-		netclone.WithRacks(
-			netclone.Rack{Uplink: time.Microsecond},
-			netclone.Rack{Servers: []int{8, 8}, Uplink: time.Microsecond},
-		)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, viaRacks) {
-		t.Error("two-rack WithRacks fabric diverges from WithMultiRack")
 	}
 }
