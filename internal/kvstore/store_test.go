@@ -197,15 +197,6 @@ func TestDistForAdapter(t *testing.T) {
 	}
 }
 
-func BenchmarkGet(b *testing.B) {
-	s := NewStore(DefaultObjects)
-	var buf [ValueSize]byte
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Get(uint64(i)%DefaultObjects, buf[:])
-	}
-}
-
 func BenchmarkScan100(b *testing.B) {
 	s := NewStore(DefaultObjects)
 	b.ReportAllocs()

@@ -92,15 +92,25 @@ func (q *portQueue) account(now int64) {
 	q.lastT = now
 }
 
+// push appends e; the caller guarantees depth < len(ring) (enqueue
+// tail-drops first). The ring length is the queue cap, not a power of
+// two, so the index wraps by compare-and-subtract instead of a
+// division: head and depth are both below len(ring).
 func (q *portQueue) push(e portEntry) {
-	q.ring[(q.head+q.depth)%len(q.ring)] = e
+	i := q.head + q.depth
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = e
 	q.depth++
 }
 
 func (q *portQueue) pop() portEntry {
 	e := q.ring[q.head]
 	q.ring[q.head].p = nil // release the reference
-	q.head = (q.head + 1) % len(q.ring)
+	if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
 	q.depth--
 	return e
 }

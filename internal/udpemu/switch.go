@@ -440,7 +440,9 @@ func (s *Switch) emitDelayed(h *wire.Header, payload []byte, t *sendTarget, due 
 	s.dl.enqueue(out, t.addr, due)
 }
 
-// Close shuts the switch down and waits for Serve to return. It is
+// Close shuts the switch down and waits for Serve to return. It then
+// returns the data plane's filter registers to the pool the next switch
+// or simulated cluster draws from; Stats keeps working. It is
 // idempotent.
 func (s *Switch) Close() error {
 	var err error
@@ -451,6 +453,9 @@ func (s *Switch) Close() error {
 		if s.dl != nil {
 			s.dl.close()
 		}
+		s.mu.Lock()
+		s.dp.Recycle()
+		s.mu.Unlock()
 	})
 	s.wg.Wait()
 	return err

@@ -48,8 +48,11 @@ mode="${1:-all}"
 # ClusterSteadyStateCongested (the finite-queue path, 0 allocs/op with
 # a congested three-rack fabric), and ClusterSteadyStateTraced (the flight recorder sampling every 64th
 # request on the fabric path — Record writes into a preallocated ring,
-# so it must hold the same 0 allocs/op).
-bench_re="${BENCH:-Engine|SwitchPipeline|ClusterSteadyState|SwitchProcess|SimulatedMillisecond|ZipfRank|KVMixNext|PoissonGap|SummarizeFrozen}"
+# so it must hold the same 0 allocs/op). StartCluster is the emu's
+# start-up cost: one StartCluster/Close cycle of the emu-loopback shape,
+# whose B/op must stay free of anything sized by the store's object
+# count or re-allocated filter registers.
+bench_re="${BENCH:-Engine|SwitchPipeline|ClusterSteadyState|SwitchProcess|SimulatedMillisecond|ZipfRank|KVMixNext|PoissonGap|SummarizeFrozen|StartCluster}"
 benchtime="${BENCHTIME:-1s}"
 experiments="${EXPERIMENTS:-all}"
 parallel="${PARALLEL:-1}"
